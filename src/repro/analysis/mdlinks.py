@@ -1,11 +1,8 @@
 """Markdown link checking (stdlib only; no repro imports).
 
-This module is the engine behind two front doors:
-
-* ``scripts/check_links.py`` — the standalone CLI the CI docs job runs
-  (it loads this file by path, so the script works without ``PYTHONPATH``);
-* the ``docs-links`` lint rule (:mod:`repro.analysis.rules.docs_links`) —
-  the same checks folded into the one ``repro-lint`` entry point.
+This module is the engine behind the ``docs-links`` lint rule
+(:mod:`repro.analysis.rules.docs_links`), which the CI docs job runs as
+``python -m repro.analysis --select docs-links``.
 
 Checks, per markdown file:
 

@@ -1,7 +1,7 @@
 """docs-links rule: the markdown tree resolves, from the one lint door.
 
-Folds the standalone link checker (``scripts/check_links.py``, still the
-CI docs job's entry point) into ``repro-lint``:
+Runs the markdown link checker (:mod:`repro.analysis.mdlinks`) inside
+``repro-lint``; the CI docs job selects it with ``--select docs-links``:
 
 * every relative link and anchor in ``README.md`` + ``docs/`` (plus
   ``ISSUE.md`` / ``ROADMAP.md`` when present) must resolve

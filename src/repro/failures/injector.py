@@ -2,10 +2,11 @@
 
 The :class:`FailureInjector` owns the failure side of a simulation run.  It
 expands a :class:`~repro.failures.models.FailureModel` schedule against the
-resolved cluster, merges it with the VM trace's start/end events, and runs
-the combined stream through the simulator's unmodified event handlers —
-the event loop itself stays the deterministic heart of the system, failures
-are just more events.
+resolved cluster into heap entries; the simulator's one event stepper
+(``ClusterSimulator._advance``) merges them with the VM trace's start/end
+events and hands each failure event back to :meth:`FailureInjector.handle`
+— the event loop stays the deterministic heart of the system, failures are
+just more events.
 
 Semantics, per event kind (ties at one interval are processed in this
 order — server arrivals, VM departures, VM arrivals, revocations, dip
@@ -56,8 +57,7 @@ tallies are event-level: a VM revoked twice contributes at each event.
 
 The injector is attached by the engine when a scenario carries a
 ``failures`` spec (:meth:`Scenario.with_failures`); a simulator without an
-injector runs the original array-sorted loop untouched, which is what keeps
-failure-free scenarios bit-identical to the pinned reference.
+injector runs the same stepper with an empty failure heap.
 """
 
 from __future__ import annotations
@@ -70,19 +70,15 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.failures.models import FailureModel, check_topology, resolve_topology
 from repro.registry import create
-
-#: Event kinds, ordered by processing priority within one interval.  Server
-#: ARRIVALs come first (new capacity is usable by anything else at that
-#: interval); END before START mirrors the simulator's own sort.  Dip
-#: *ends* sort before dip *starts* so back-to-back dips (one ending exactly
-#: when the next begins) hand over cleanly instead of the ending dip
-#: cancelling the just-started one.  Evacuation ticks (EVAC) and drain
-#: DEADLINEs come last, after the interval's departures freed capacity and
-#: its requeues landed.  The sharded engine's merger replays shard streams
-#: in this same ``(t, kind, key)`` order, so renumbering these is a
-#: cross-module change (see ``repro.simulator.sharded`` and the
-#: ``failure-log`` collector's ``merge_shards``).
-_ARRIVAL, _END, _START, _REVOKE, _DIP_END, _DIP_START, _REQUEUE, _EVAC, _DEADLINE = range(9)
+from repro.simulator.cluster_sim import (
+    _ARRIVAL,
+    _DEADLINE,
+    _DIP_END,
+    _DIP_START,
+    _EVAC,
+    _REQUEUE,
+    _REVOKE,
+)
 
 #: ``response`` modes for revocations.
 RESPONSES = ("evacuate", "kill")
@@ -260,10 +256,6 @@ class FailureInjector:
         self._drain_queue: dict[int, list[int]] = {}  # server -> pending VMs
         self._nominal_cap: np.ndarray | None = None
         self._initial_cores = 0.0
-        #: The merged VM + failure event heap and running peak, owned by
-        #: :meth:`start` / :meth:`step` (``drive`` is their composition).
-        self._heap: list[tuple[float, int, int, float]] | None = None
-        self._peak = 0.0
         self.counts = {
             "revocations": 0,
             "capacity_dips": 0,
@@ -295,15 +287,6 @@ class FailureInjector:
         """
         setattr(self, metric, getattr(self, metric) + value)
 
-    def _after_event(self, sim, t: float, kind: int, key: int) -> None:
-        """Hook called after each merged-stream event is processed.
-
-        ``key`` is the VM index (END/START/REQUEUE) or the server index
-        (REVOKE/DIP_START/DIP_END).  The base injector does nothing; the
-        sharded engine's recording subclass snapshots committed cores and
-        the terms accrued during the event.
-        """
-
     def nominal_total_cores(self) -> float:
         """Provisioned CPU capacity: the initial fleet plus every arrival.
 
@@ -333,7 +316,7 @@ class FailureInjector:
             "arrived_nominal_cores": self.arrived_nominal_cores,
         }
 
-    # -- the merged event loop ---------------------------------------------------
+    # -- the failure stream ------------------------------------------------------
 
     def schedule(self, n_servers: int, horizon: float):
         """The validated flat failure schedule for one replay.
@@ -343,7 +326,7 @@ class FailureInjector:
         events are validated to use contiguous indices (``n_servers``,
         ``n_servers + 1``, ... in time order) and every other event must
         target a server that exists — initial fleet or arrival.  Shared by
-        :meth:`drive` and the sharded engine's slicer, which must see the
+        :meth:`begin` and the sharded engine's slicer, which must see the
         *same* flat schedule to stay bit-identical.
         """
         rng = np.random.default_rng(self.seed)
@@ -378,116 +361,67 @@ class FailureInjector:
                 )
         return events
 
-    def drive(self, sim) -> float:
-        """Run the full replay (VM events + failures); returns peak cores.
+    def begin(self, sim) -> list[tuple[float, int, int, float]]:
+        """Reset per-run state and expand the schedule into heap entries.
 
-        Called by :meth:`ClusterSimulator.run` when an injector is
-        attached; uses the simulator's own ``_handle_start`` /
-        ``_handle_end`` so placement, deflation, and metrics behave exactly
-        as in the failure-free loop.  ``drive`` is exactly :meth:`start`
-        followed by an unbounded :meth:`step` — the split exists so
-        checkpoint/resume (``ClusterSimulator.run_until``) can stop the
-        replay at an event boundary without changing how events process.
-        """
-        self.start(sim)
-        self.step(sim)
-        return self._peak
-
-    def start(self, sim, vm_entries: list | None = None) -> None:
-        """Reset state and build the merged event heap without driving it.
-
-        ``vm_entries`` overrides the VM side of the stream with an explicit
-        remainder (``(t, _END|_START, vm, 0.0)`` tuples) — the snapshot
-        restore path uses it to fork a warm failure-free prefix into this
-        injector's schedule without replaying the prefix's VM events.
+        Called when the simulator opens its event stream, and by a snapshot
+        restore that forks a pristine prefix into this injector's regime.
+        Returns ``(t, kind, server, aux)`` entries (``aux`` is a dip's
+        scale); the simulator owns the heap they go into, and the handlers
+        push requeues, evacuation ticks and deadlines onto that same heap.
         """
         self._reset()
         self._nominal_cap = sim.server_cap.copy()
         self._initial_cores = float(self._nominal_cap[:, 0].sum())
         horizon = float(sim.traces.horizon())
         schedule = self.schedule(sim.config.n_servers, horizon)
-
-        heap: list[tuple[float, int, int, float]] = []
-        if vm_entries is None:
-            ends = sim.vm_end.tolist()
-            starts = sim.vm_start.tolist()
-            for i in range(len(sim.traces)):
-                heap.append((float(ends[i]), _END, i, 0.0))
-                heap.append((float(starts[i]), _START, i, 0.0))
-        else:
-            heap.extend(vm_entries)
+        self._check_dip_overlap(schedule)
+        entries: list[tuple[float, int, int, float]] = []
         for ev in schedule:
             if ev.action == "revoke":
-                heap.append((ev.time, _REVOKE, ev.server, 0.0))
+                entries.append((ev.time, _REVOKE, ev.server, 0.0))
             elif ev.action == "arrive":
-                heap.append((ev.time, _ARRIVAL, ev.server, 0.0))
+                entries.append((ev.time, _ARRIVAL, ev.server, 0.0))
             else:
-                heap.append((ev.time, _DIP_START, ev.server, ev.scale))
-                heap.append((ev.time + ev.duration, _DIP_END, ev.server, 0.0))
-        self._check_dip_overlap(schedule)
-        heapq.heapify(heap)
-        self._heap = heap
-        self._peak = 0.0
+                entries.append((ev.time, _DIP_START, ev.server, ev.scale))
+                entries.append((ev.time + ev.duration, _DIP_END, ev.server, 0.0))
+        return entries
 
-    def step(self, sim, until: float | None = None) -> bool:
-        """Process events with ``t < until`` (all of them when None).
+    def handle(self, sim, t: float, kind: int, key: int, aux: float, heap: list) -> None:
+        """Process one failure-heap event the simulator's stepper popped.
 
-        Returns True when the stream is exhausted.  Every event key
-        ``(t, kind, key)`` in the heap is unique, so pops follow a strict
-        total order regardless of the heap's internal layout — which is
-        what lets a snapshot store the remaining entries as a sorted list
-        and re-heapify on restore without changing replay order.  Dynamic
-        pushes (requeues, evacuation ticks, deadlines) never schedule
-        before the current event, so stopping at ``until`` processes
-        exactly the events an uninterrupted run would have processed
-        before that boundary.
+        ``key`` is the VM index for a requeue and the server index for
+        every other kind; handlers that schedule follow-up events push
+        them onto ``heap``, never before ``t``.
         """
-        heap = self._heap
-        if heap is None:
-            raise SimulationError("injector.step() before start()")
-        peak = self._peak
-        while heap and (until is None or heap[0][0] < until):
-            t, kind, key, aux = heapq.heappop(heap)
-            if kind == _END:
-                sim._handle_end(t, key)
-            elif kind == _START:
-                sim._handle_start(t, key)
-                if sim._committed_cores > peak:
-                    peak = sim._committed_cores
-            elif kind == _REVOKE:
-                self._revoke(sim, t, key, heap)
-            elif kind == _DIP_START:
-                self._dip_start(sim, t, key, aux)
-            elif kind == _DIP_END:
-                self._dip_end(sim, t, key)
-            elif kind == _ARRIVAL:
-                self._arrive(sim, t, key)
-            elif kind == _EVAC:
-                self._evac_tick(sim, t, key, heap)
-            elif kind == _DEADLINE:
-                self._deadline(sim, t, key)
-            else:
-                self._requeue(sim, t, key)
-                if sim._committed_cores > peak:
-                    peak = sim._committed_cores
-            self._after_event(sim, t, kind, key)
-        self._peak = peak
-        return not heap
+        if kind == _REVOKE:
+            self._revoke(sim, t, key, heap)
+        elif kind == _DIP_START:
+            self._dip_start(sim, t, key, aux)
+        elif kind == _DIP_END:
+            self._dip_end(sim, t, key)
+        elif kind == _ARRIVAL:
+            self._arrive(sim, t, key)
+        elif kind == _EVAC:
+            self._evac_tick(sim, t, key, heap)
+        elif kind == _DEADLINE:
+            self._deadline(sim, t, key)
+        else:
+            self._requeue(sim, t, key)
 
     # -- snapshot/restore ---------------------------------------------------------
 
     def state_snapshot(self) -> dict:
-        """Copy of the injector's mutable mid-replay state (plus the heap).
+        """Copy of the injector's mutable mid-replay state.
 
-        Everything a resumed replay needs to continue bit-identically:
-        accruals and counts, revocation/dip/drain/requeue bookkeeping, the
-        nominal-capacity matrix, and the remaining event heap stored as a
-        sorted list (safe: pop order only depends on the entry *set*, see
-        :meth:`step`).  The constructor identity (``spec`` + topology)
-        rides along so a restore can tell a pure resume from a what-if
-        fork into a different failure regime.
+        Everything besides the event heap (which the simulator's stream
+        owns) that a resumed replay needs to continue bit-identically:
+        accruals and counts, revocation/dip/drain/requeue bookkeeping and
+        the nominal-capacity matrix.  The constructor identity (``spec`` +
+        topology) rides along so a restore can tell a pure resume from a
+        what-if fork into a different failure regime.
         """
-        if self._heap is None:
+        if self._nominal_cap is None:
             raise SimulationError("injector has not driven a replay yet")
         return {
             "spec": copy.deepcopy(self.spec),
@@ -504,8 +438,6 @@ class FailureInjector:
             "absorbed_core_intervals": self.absorbed_core_intervals,
             "lost_core_intervals": self.lost_core_intervals,
             "arrived_nominal_cores": self.arrived_nominal_cores,
-            "heap": tuple(sorted(self._heap)),
-            "peak": self._peak,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -514,7 +446,7 @@ class FailureInjector:
         Only valid when this injector drives the *same* failure stream the
         snapshot was taken under (same spec, seed, and topology) — the
         caller (:mod:`repro.simulator.snapshot`) checks that; a different
-        spec must rebuild via :meth:`start` instead.
+        spec must rebuild via :meth:`begin` instead.
         """
         self._revoked = set(state["revoked"])
         self._dip_active = dict(state["dip_active"])
@@ -528,10 +460,6 @@ class FailureInjector:
         self.absorbed_core_intervals = state["absorbed_core_intervals"]
         self.lost_core_intervals = state["lost_core_intervals"]
         self.arrived_nominal_cores = state["arrived_nominal_cores"]
-        heap = [tuple(entry) for entry in state["heap"]]
-        heapq.heapify(heap)
-        self._heap = heap
-        self._peak = state["peak"]
 
     @staticmethod
     def state_is_pristine(state: dict) -> bool:

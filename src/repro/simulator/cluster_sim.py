@@ -19,11 +19,13 @@ CPU usage (4 levels); bin-packing and deflation consider CPU cores and
 memory; the same trace is replayed while the server count shrinks to raise
 overcommitment.
 
-Transient-server failures (revocations, capacity dips) attach through
-:meth:`ClusterSimulator.attach_failures`: the injector drives a merged
-VM + failure event stream through the same handlers (see
-:mod:`repro.failures`), while simulators without an injector run the
-original loop untouched.
+Every replay — one-shot, streamed, resumed from a snapshot, failure-
+injected, or one shard of the sharded engine — runs through one event
+stepper (:meth:`ClusterSimulator._advance`): the sorted VM start/end arrays
+merged with a small heap holding the failure schedule of an attached
+:class:`~repro.failures.injector.FailureInjector` (see
+:meth:`ClusterSimulator.attach_failures`) and its dynamic pushes.  Without
+an injector the heap is simply empty.
 
 Hot-path design (profiled on 20k-VM traces; every change is bit-identical
 to :mod:`repro.simulator.reference`, the pinned pre-optimization snapshot —
@@ -53,15 +55,17 @@ from the reference):
 * ``_rebalance`` solves through per-server :meth:`DeflationPolicy.
   reclaim_plan` objects cached alongside the resident gathers, so the
   priority policy's breakpoint sort is paid once per membership change,
-  not once per solve;
-* the observer-free failure-free ``run`` loop coalesces each timestamp's
-  run of departures into one rebalance per touched server
-  (``_handle_end_batch`` documents the equivalence argument; every other
-  execution mode stays strictly per-event).
+  not once per solve.
+
+Events are processed strictly one at a time.  Coalescing a timestamp's
+departures into one rebalance per server is *not* exact: ``_rebalance``
+records a new allocation fraction only when it moves by more than 1e-9, so
+the history depends on the intermediate rebalances a batch would skip.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -84,6 +88,18 @@ from repro.traces.schema import VMTraceRecord, VMTraceSet
 #: Resource dimensions used for bin-packing and deflation (paper: "We
 #: consider each VM's CPU core count and memory size").
 _DIMS = 2  # 0 = cpu cores, 1 = memory MB
+
+#: Event kinds, ordered by processing priority within one interval; the
+#: stepper's ``(t, kind, key)`` order.  Server ARRIVALs come first (new
+#: capacity is usable by anything else at that interval), then VM ENDs
+#: before VM STARTs.  Dip *ends* sort before dip *starts* so back-to-back
+#: dips (one ending exactly when the next begins) hand over cleanly instead
+#: of the ending dip cancelling the just-started one.  Evacuation ticks
+#: (EVAC) and drain DEADLINEs come last, after the interval's departures
+#: freed capacity and its requeues landed.  The failure injector, the
+#: sharded engine's merger and the ``failure-log`` collector's
+#: ``merge_shards`` all import these codes from here.
+_ARRIVAL, _END, _START, _REVOKE, _DIP_END, _DIP_START, _REQUEUE, _EVAC, _DEADLINE = range(9)
 
 
 @dataclass(frozen=True)
@@ -384,7 +400,7 @@ class ClusterSimulator:
         self.traces = traces
         self.config = config
         #: Optional failure injector (see :meth:`attach_failures`); when
-        #: None the replay runs the original failure-free loop untouched.
+        #: None the event stream's failure heap stays empty.
         self._injector = None
         #: Liveness mask over servers, created lazily on the first
         #: revocation (None = everything alive, the failure-free fast path).
@@ -393,9 +409,10 @@ class ClusterSimulator:
         #: injector uses it to attribute preemption cascades triggered by
         #: failure-driven placements.
         self._preempt_log: list[int] | None = None
-        #: Open event stream for checkpoint/resume (:meth:`run_until`);
-        #: None until a stream is opened — :meth:`run` then executes the
-        #: original one-shot loop untouched.
+        #: The event stream (:meth:`_open_stream`): sorted VM event
+        #: arrays, their cursor, the failure heap, the running peak and
+        #: the ``run_until`` boundary.  None until :meth:`run` or
+        #: :meth:`run_until` opens it.
         self._stream: dict | None = None
         #: Per-VM metric terms finalized by :meth:`compact_history` before
         #: their history rows were dropped (streaming bounded-memory mode);
@@ -531,7 +548,7 @@ class ClusterSimulator:
     def _refresh_derived(self) -> None:
         """(Re)build caches derived from the per-VM arrays.
 
-        Called at construction *and* at the top of :meth:`run`: the blessed
+        Called at construction *and* when the event stream opens: the blessed
         ``engine.build()`` flow mutates ``vm_prio`` / ``vm_floor`` /
         ``vm_caps`` on the built simulator before replaying (e.g. the
         priority-level ablation), and these snapshots must reflect that
@@ -556,15 +573,13 @@ class ClusterSimulator:
     def attach_failures(self, injector) -> None:
         """Attach a :class:`~repro.failures.injector.FailureInjector`.
 
-        With an injector attached, :meth:`run` hands the replay to
-        :meth:`FailureInjector.drive`, which merges the injector's
-        revocation/capacity-dip schedule (plus dynamically requeued
-        restarts) into the VM event stream and calls back into the same
-        ``_handle_start`` / ``_handle_end`` handlers.  Without one, the
-        original array-sorted loop runs bit-identically to the pinned
-        reference.  The engine calls this for scenarios carrying a
-        ``failures`` spec; direct simulator users may call it before
-        :meth:`run`.
+        When the event stream opens, the injector expands its
+        revocation/capacity-dip/arrival schedule into the stream's failure
+        heap; the stepper merges it with the VM events and hands each
+        failure event (and each requeue, evacuation tick or deadline the
+        injector pushes) back to the injector's handlers.  The engine calls
+        this for scenarios carrying a ``failures`` spec; direct simulator
+        users may call it before :meth:`run`.
         """
         self._injector = injector
 
@@ -638,131 +653,134 @@ class ClusterSimulator:
         else:
             self.server_pool = np.append(self.server_pool, -1)
 
-    # -- main loop -----------------------------------------------------------------
+    # -- the event stepper -----------------------------------------------------------
 
     def _build_events(self) -> np.ndarray:
-        """Structured ``(t, kind, vm)`` event array, globally sorted.
+        """Structured ``(t, kind, vm)`` VM event array, globally sorted.
 
-        Ends (kind 0) before starts (kind 1) at the same interval, ties
-        broken by VM index — the exact key the old Python
-        ``events.sort(key=...)`` used, minus the per-element lambda calls.
-        Shared by the one-shot loop and the resumable stream; both iterate
-        the same ``tolist()`` scalars, which is what keeps an interrupted
-        replay bit-identical to an uninterrupted one.
+        Ends (``_END``) before starts (``_START``) at the same interval,
+        ties broken by VM index — the stepper's ``(t, kind, key)`` order,
+        in the kind codes the failure heap uses.
         """
         n = len(self.traces)
         events = np.empty(
             2 * n, dtype=[("t", np.float64), ("kind", np.int8), ("vm", np.int64)]
         )
         events["t"][:n] = self.vm_end
-        events["kind"][:n] = 0
+        events["kind"][:n] = _END
         events["vm"][:n] = np.arange(n)
         events["t"][n:] = self.vm_start
-        events["kind"][n:] = 1
+        events["kind"][n:] = _START
         events["vm"][n:] = np.arange(n)
         events.sort(order=("t", "kind", "vm"))
         return events
 
-    def run(self) -> ClusterSimResult:
-        if self._stream is not None:
-            # A stream is open (run_until / snapshot restore): finish it.
-            return self._collect(self._step_stream(None))
-        self._refresh_derived()  # pick up any post-build surgery
-        if self._injector is not None:
-            return self._collect(self._injector.drive(self))
-        events = self._build_events()
-        peak_committed = 0.0
-        handle_start, handle_end = self._handle_start, self._handle_end
-        t_list = events["t"].tolist()
-        kind_list = events["kind"].tolist()
-        vm_list = events["vm"].tolist()
-        n = len(t_list)
-        # Observer-free failure-free runs coalesce each timestamp's run of
-        # departures into one rebalance per touched server — see
-        # _handle_end_batch for why this is bit-identical to the strictly
-        # per-event loop, which still serves every other execution mode
-        # (collectors attached, injector-driven, streaming).
-        batch_ends = not self._collectors
-        i = 0
-        while i < n:
-            t = t_list[i]
-            if kind_list[i] == 0:
-                if batch_ends:
-                    j = i + 1
-                    while j < n and kind_list[j] == 0 and t_list[j] == t:
-                        j += 1
-                    if j - i > 1:
-                        self._handle_end_batch(t, vm_list[i:j])
-                        i = j
-                        continue
-                handle_end(t, vm_list[i])
-            else:
-                handle_start(t, vm_list[i])
-                if self._committed_cores > peak_committed:
-                    peak_committed = self._committed_cores
-            i += 1
-        return self._collect(peak_committed)
-
-    # -- checkpoint/resume ---------------------------------------------------------
-
     def _ensure_stream(self) -> None:
-        """Open the resumable event stream (idempotent).
+        """Open the event stream at t=0 (idempotent).
 
-        Mirrors the top of :meth:`run` exactly: derived caches refresh
-        once, then either the injector's merged heap starts or the
-        failure-free event array is staged with a cursor.
+        Derived caches refresh once, then an attached injector expands its
+        failure schedule into the stream's heap.
         """
         if self._stream is not None:
             return
         self._refresh_derived()  # pick up any post-build surgery
-        if self._injector is not None:
-            self._injector.start(self)
-            self._stream = {"mode": "heap", "at": 0.0}
-            return
+        heap = [] if self._injector is None else self._injector.begin(self)
+        self._open_stream(cursor=0, peak=0.0, heap=heap, at=0.0)
+
+    def _open_stream(self, cursor: int, peak: float, heap: list, at: float) -> None:
+        """Stage the sorted VM events behind ``cursor`` next to ``heap``.
+
+        Shared by a cold start and a snapshot restore, which rebuilds the
+        VM arrays from the (restored) trace and stores only the cursor.
+        """
         events = self._build_events()
+        heapq.heapify(heap)
         self._stream = {
-            "mode": "array",
             "t": events["t"].tolist(),
             "kind": events["kind"].tolist(),
             "vm": events["vm"].tolist(),
-            "cursor": 0,
-            "peak": 0.0,
-            "at": 0.0,
+            "cursor": cursor,
+            "heap": heap,
+            "peak": peak,
+            "at": at,
         }
 
-    def _step_stream(self, until: float | None) -> float:
-        """Advance the open stream through events ``t < until``; returns peak."""
+    def _advance(self, until: float) -> None:
+        """The event loop: process every stream event with ``t < until``.
+
+        VM departures and arrivals come off the sorted arrays at the
+        cursor; failure events and the injector's dynamic pushes (requeues,
+        evacuation ticks, deadlines) come off the heap.  The two merge on
+        the ``(t, kind, key)`` key.  VM kinds never occur in the heap, so a
+        VM event goes first exactly when its ``(t, kind)`` sorts before the
+        heap top's, and only failure handlers push, so the heap top stays
+        fixed while VM events run.  Pushes never land before the event
+        being processed, so stopping at ``until`` processes exactly the
+        events an uninterrupted run processes before that boundary.
+
+        Committed cores only grow on a START or a requeue; the running
+        peak is checked after those and after every heap event.
+        """
         stream = self._stream
-        if stream["mode"] == "heap":
-            self._injector.step(self, until)
-            peak = self._injector._peak
-        else:
-            t_list, kind_list, vm_list = stream["t"], stream["kind"], stream["vm"]
-            i, n = stream["cursor"], len(t_list)
-            peak = stream["peak"]
-            handle_start, handle_end = self._handle_start, self._handle_end
-            while i < n and (until is None or t_list[i] < until):
-                if kind_list[i] == 0:
-                    handle_end(t_list[i], vm_list[i])
+        t_list, kind_list, vm_list = stream["t"], stream["kind"], stream["vm"]
+        heap = stream["heap"]
+        i, n = stream["cursor"], len(t_list)
+        peak = stream["peak"]
+        handle_start, handle_end = self._handle_start, self._handle_end
+        after = self._after_event
+        while True:
+            ht, hk = (heap[0][0], heap[0][1]) if heap else (math.inf, _ARRIVAL)
+            while i < n:
+                t, kind = t_list[i], kind_list[i]
+                if t >= until or t > ht or (t == ht and kind > hk):
+                    break
+                vm = vm_list[i]
+                if kind == _END:
+                    handle_end(t, vm)
                 else:
-                    handle_start(t_list[i], vm_list[i])
+                    handle_start(t, vm)
                     if self._committed_cores > peak:
                         peak = self._committed_cores
+                after(t, kind, vm)
                 i += 1
-            stream["cursor"] = i
-            stream["peak"] = peak
-        if until is not None and until > stream["at"]:
-            stream["at"] = until
-        return peak
+            if not heap or ht >= until:
+                break
+            t, kind, key, aux = heapq.heappop(heap)
+            self._injector.handle(self, t, kind, key, aux, heap)
+            if self._committed_cores > peak:
+                peak = self._committed_cores
+            after(t, kind, key)
+        stream["cursor"] = i
+        stream["peak"] = peak
+
+    def _after_event(self, t: float, kind: int, key: int) -> None:
+        """Seam called after every processed event (a no-op here).
+
+        ``key`` is the VM index for ``_END``/``_START``/``_REQUEUE`` and
+        the server index for every other kind.  The sharded engine's shard
+        simulator records its merge log here.
+        """
+
+    def run(self) -> ClusterSimResult:
+        """Replay to the end (finishing an open stream) and collect.
+
+        The same steps as ``run_until(inf)``, then :meth:`_collect`.
+        """
+        self._ensure_stream()
+        self._advance(math.inf)
+        self._stream["at"] = math.inf
+        return self._collect(self._stream["peak"])
+
+    # -- checkpoint/resume ---------------------------------------------------------
 
     def run_until(self, t: float) -> None:
         """Advance the replay through every event strictly before ``t``.
 
-        Opens the resumable stream on first use; subsequent calls must not
+        Opens the event stream on first use; subsequent calls must not
         move backwards.  After any number of ``run_until`` steps,
         :meth:`run` finishes the remainder and collects — bit-identical to
-        one uninterrupted :meth:`run`.  :meth:`snapshot` freezes the state
-        at the current boundary.
+        one uninterrupted :meth:`run`, since both drive the same stepper.
+        :meth:`snapshot` freezes the state at the current boundary.
         """
         t = float(t)
         self._ensure_stream()
@@ -771,7 +789,8 @@ class ClusterSimulator:
                 f"run_until({t}) would move backwards (stream is at "
                 f"{self._stream['at']}); snapshots, not rewinds, go back in time"
             )
-        self._step_stream(t)
+        self._advance(t)
+        self._stream["at"] = t
 
     def snapshot(self):
         """Freeze the current :meth:`run_until` boundary as a `SimSnapshot`."""
@@ -1046,80 +1065,6 @@ class ClusterSimulator:
             c.on_end(t, vm, server, self)
         if self._policy is not None:
             self._rebalance(t, server)
-
-    def _handle_end_batch(self, t: float, vms: list) -> None:
-        """One timestamp's departures with a single rebalance per server.
-
-        Only the observer-free, failure-free array path in :meth:`run` calls
-        this; everything else stays strictly per-event.  Equivalence with the
-        sequential loop, in full:
-
-        * Detaches are independent per-VM bookkeeping, applied in the same
-          event order, so the post-batch membership and committed totals are
-          identical.
-        * Rebalance recomputes targets from capacities and the server's
-          *current* pressure (recompute-from-capacity semantics), so one
-          rebalance over the final membership lands on exactly the state the
-          sequential loop's *last* rebalance of that server produced —
-          **provided that final rebalance runs at all**.  The one exception
-          is a batch that detaches *every* deflatable resident of a server:
-          ``_rebalance`` early-returns on an empty deflatable set without
-          touching ``self.reclaimed[server]``, so in the sequential loop the
-          residue left behind comes from the last rebalance that still saw a
-          deflatable resident — an *intermediate* membership this batch
-          never visits.  That residue feeds the availability score of later
-          placements (``used = committed - reclaimed``), so the whole
-          timestamp falls back to strict per-event processing whenever a
-          touched server's deflatable population would be emptied.
-        * The skipped intermediate rebalances could only have appended
-          allocation-history rows at this same timestamp; the piecewise-
-          constant allocation series reads the last row at or before each
-          grid point (``searchsorted(..., side="right")``), so those rows
-          were invisible to every metric, and ``_last_frac`` converges to
-          the same final value either way.
-        * In a failure-free run a departure can never flip a satisfiable
-          server to unsatisfied: the required reclaim drops by the full
-          departing capacity while the reclaimable pool drops by at most
-          that, so no intermediate rebalance could have raised a
-          ``reclaim_failure`` the final one misses.
-
-        Collectors force the per-event path because their hooks observe the
-        sequential intermediate states; the golden and randomized
-        equivalence suites pin all of the above against the unbatched
-        reference simulator and stream/resume replays, and
-        ``tests/simulator/test_batched_ends.py`` pins the emptied-server
-        residue case directly.
-        """
-        outcomes = self.outcomes
-        vm_server = self.vm_server
-        departing: list[tuple[int, int]] = []
-        defl_departing: dict[int, int] = {}
-        for vm in vms:
-            out = outcomes[vm]
-            if not out.placed or out.preempted:
-                continue
-            server = int(vm_server[vm])
-            departing.append((vm, server))
-            if self.vm_deflatable[vm]:
-                defl_departing[server] = defl_departing.get(server, 0) + 1
-        if self._policy is not None and any(
-            n == len(self.resident_deflatable[s]) for s, n in defl_departing.items()
-        ):
-            # A server's deflatable population empties this timestamp: its
-            # reclaimed residue depends on intermediate memberships (see
-            # docstring), so replay the batch exactly as the sequential
-            # loop would.  Rare, and correctness beats the batching win.
-            for vm, server in departing:
-                self._detach(vm, server)
-                self._rebalance(t, server)
-            return
-        touched: dict[int, None] = {}
-        for vm, server in departing:
-            self._detach(vm, server)
-            touched[server] = None
-        if self._policy is not None:
-            for server in touched:
-                self._rebalance(t, server)
 
     def _rebalance(self, t: float, server: int) -> None:
         """Recompute deflatable allocations on one server under its pressure."""

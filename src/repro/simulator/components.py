@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.placement import vectorized_cosine_scores
 from repro.core.resources import NUM_RESOURCES
 from repro.errors import SimulationError
-from repro.failures.injector import _ARRIVAL, _DEADLINE, _DIP_END, _DIP_START, _REVOKE
 from repro.registry import register
 
 #: Feasibility slack shared with the simulator's float comparisons.
@@ -447,11 +446,6 @@ class FailureLogCollector(MetricsCollector):
 
     name = "failure-log"
 
-    #: The injector's intra-interval ordering codes per entry type (see
-    #: ``repro.failures.injector``); used to restore the global event
-    #: order when merging shard payloads.
-    _KINDS = {"arrive": _ARRIVAL, "revoke": _REVOKE, "deadline": _DEADLINE}
-
     def __init__(self) -> None:
         self.events: list[tuple[float, str, int, float]] = []
 
@@ -473,13 +467,23 @@ class FailureLogCollector(MetricsCollector):
     def merge_shards(self, payloads, shards):
         """Remap servers to global indices, restore the global event order.
 
-        Failure events sort by ``(t, kind, server)`` in the injector's
-        merged stream; the kind is recoverable from the entry itself
-        (``_KINDS`` plus the dip-end/dip-start split on ``scale == 1.0``),
+        Failure events sort by ``(t, kind, server)`` in the simulator's
+        event stream; the kind is recoverable from the entry itself (the
+        entry type plus the dip-end/dip-start split on ``scale == 1.0``),
         so the flat run's exact ordering can be reconstructed.  Server
         remapping goes through :meth:`ShardMap.to_global_server` because
         arrived servers live past the shard's contiguous base range.
         """
+        # Deferred: the simulator module imports this one.
+        from repro.simulator.cluster_sim import (
+            _ARRIVAL,
+            _DEADLINE,
+            _DIP_END,
+            _DIP_START,
+            _REVOKE,
+        )
+
+        kinds = {"arrive": _ARRIVAL, "revoke": _REVOKE, "deadline": _DEADLINE}
         entries = []
         for payload, shard in zip(payloads, shards):
             for t, event, server, scale in payload:
@@ -487,7 +491,7 @@ class FailureLogCollector(MetricsCollector):
 
         def sort_key(entry):
             t, event, _server, scale = entry
-            kind = self._KINDS.get(event, _DIP_END if scale == 1.0 else _DIP_START)
+            kind = kinds.get(event, _DIP_END if scale == 1.0 else _DIP_START)
             return (t, kind, entry[2])
 
         entries.sort(key=sort_key)

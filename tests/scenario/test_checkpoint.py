@@ -134,10 +134,12 @@ class TestEngineSurface:
 
 class TestRestoreRefusals:
     def test_unknown_version(self, base, snapshot):
-        future = dataclasses.replace(snapshot, version=99)
+        # v1 stored a stream "mode" and VM events in the injector heap; it
+        # must be refused, never mis-restored.
         sim = ClusterSimEngine().build(base)
-        with pytest.raises(SimulationError, match="v99"):
-            sim.restore(future)
+        for version in (1, 99):
+            with pytest.raises(SimulationError, match=f"v{version}"):
+                sim.restore(dataclasses.replace(snapshot, version=version))
 
     def test_not_a_snapshot(self, base):
         sim = ClusterSimEngine().build(base)

@@ -1,15 +1,21 @@
-"""Regression pins for the batched same-timestamp departure path.
+"""Regression pins for same-timestamp departures against the reference.
 
-``ClusterSimulator._handle_end_batch`` processes one timestamp's departures
-with a single rebalance per touched server.  Its equivalence argument has
-one documented exception: a batch that detaches *every* deflatable resident
-of a server never runs a final rebalance there (``_rebalance`` early-returns
-on an empty deflatable set), so the ``reclaimed`` residue the sequential
-loop leaves behind comes from an intermediate membership the batch never
-visits — and that residue feeds the availability score of later placements.
-The handler must fall back to strict per-event processing for such
-timestamps; these tests pin both the surgical residue case and the 20k-VM
-bench case where the divergence was first observed.
+Departures that share a timestamp are processed strictly one at a time,
+each followed by its own rebalance, exactly as in the pinned
+``ReferenceClusterSimulator``.  Coalescing them into one rebalance per
+server is not exact, for two reasons these tests pin:
+
+* a batch that detaches *every* deflatable resident of a server never runs
+  a final rebalance there (``_rebalance`` early-returns on an empty
+  deflatable set), so the ``reclaimed`` residue comes from an intermediate
+  membership the batch never visits — and that residue feeds the
+  availability score of later placements (the surgical residue case and
+  the 20k-VM case where the divergence was first observed);
+* ``_rebalance`` records a new allocation fraction only when it moves by
+  more than 1e-9, so the allocation history depends on the intermediate
+  rebalances a batch skips: the priority@oc0.6 seeds below left a fraction
+  one ulp apart (0.9999999999999999 vs 1.0) and ``mean_deflation``
+  differed from the reference in its last bit.
 """
 
 import numpy as np
@@ -89,3 +95,15 @@ def test_deterministic_scale_equivalence_20k():
     opt = ClusterSimulator(traces, config).run()
     ref = ReferenceClusterSimulator(traces, config).run()
     assert opt == ref
+
+
+@pytest.mark.parametrize("seed", (208, 238, 302))
+def test_priority_last_bit_matches_reference(seed):
+    """priority@oc0.6 on the 1500-VM trace: live == reference, bit for bit."""
+    traces = synthesize_azure_trace(AzureTraceConfig(n_vms=1500, seed=seed))
+    config = ClusterSimConfig(
+        n_servers=servers_for_overcommitment(traces, 0.6), policy="priority"
+    )
+    assert ClusterSimulator(traces, config).run() == ReferenceClusterSimulator(
+        traces, config
+    ).run()

@@ -121,9 +121,9 @@ def waterfill_stress_scenario(rng: np.random.Generator, index: int = 0) -> Scena
     so pools are nearly exhausted (cap-saturated, with identical per-class
     VM shapes producing tied breakpoints), and occasional tiny clusters
     whose servers host only one or two deflatable VMs.  Failure-free by
-    design: the batched departure hot path only runs on the failure-free
-    array loop, and this generator exists to hammer exactly that path
-    against the per-event stream/resume and sharded replays.
+    design, so the replay time goes into the solver rather than into
+    failure handling; the one-shot replay is checked against the
+    stream/resume and sharded replays.
     """
     tiny = rng.random() < 0.3
     n_vms = int(rng.integers(8, 26)) if tiny else int(rng.integers(60, 181))

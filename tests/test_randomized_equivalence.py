@@ -77,9 +77,9 @@ def test_randomized_equivalence_full(fuzz_seed):
 
 
 def test_waterfill_stress_equivalence(fuzz_seed):
-    """Water-fill-corner scenarios (tests/strategies.py): the batched
-    failure-free hot path and the closed-form solver against the strictly
-    per-event stream/resume and sharded replays."""
+    """Water-fill-corner scenarios (tests/strategies.py): the closed-form
+    solver under the one-shot replay against the stream/resume and sharded
+    replays."""
     _assert_modes_agree(waterfill_stress_batch(fuzz_seed, SMALL_N), fuzz_seed)
 
 
