@@ -44,8 +44,8 @@ from the reference):
   rebuilt with ``np.arange``/``np.nonzero`` on every event;
 * ``_rebalance`` skips the per-dimension policy solves entirely when a
   server has no pressure and nothing reclaimed (the dominant case below
-  full subscription), and caches the per-server resident index/capacity
-  gathers between membership changes instead of ``np.fromiter`` per call;
+  full subscription), and caches the per-server resident list between
+  membership changes;
 * per-VM allocation histories live in growable flat arrays (one bulk append
   per rebalance) rather than per-VM tuple lists, and ``_collect`` is
   vectorized: never-deflated VMs take closed-form fast paths, and all
@@ -53,9 +53,16 @@ from the reference):
   (order-preserving ``cumsum`` reductions keep float accumulation
   bit-identical to the original per-VM loop);
 * ``_rebalance`` solves through per-server :meth:`DeflationPolicy.
-  reclaim_plan` objects cached alongside the resident gathers, so the
+  reclaim_plan` objects cached alongside the resident list, so the
   priority policy's breakpoint sort is paid once per membership change,
-  not once per solve.
+  not once per solve;
+* the rebalance runs on Python floats, not NumPy arrays: its pools hold a
+  few dozen VMs, where per-call NumPy dispatch cost more than the
+  arithmetic.  The plans take per-dimension lists gathered from plain-float
+  mirrors of the per-VM arrays (``_refresh_vm_lists``) and return reclaim
+  lists; the per-dimension totals are summed sequentially (the order of
+  the reference's ``sum(axis=0)``) and the fraction-change test runs per
+  VM, as the reference's does.
 
 Events are processed strictly one at a time.  Coalescing a timestamp's
 departures into one rebalance per server is *not* exact: ``_rebalance``
@@ -509,11 +516,10 @@ class ClusterSimulator:
         #: Incrementally maintained ``committed[:, 0].sum()`` (exact: core
         #: counts are integers, so adds/subtracts never lose bits).
         self._committed_cores = 0.0
-        #: Per-server cached (idx, caps, floors, prios) gathers over the
-        #: deflatable residents; invalidated on membership changes so
-        #: ``_rebalance`` stops paying ``np.fromiter`` + fancy-indexing on
-        #: every event.
-        self._srv_cache: list[tuple | None] = [None] * s
+        #: Per-server ``[residents, CPU plan, memory plan]`` caches over the
+        #: deflatable residents (see ``_rebalance``); invalidated on
+        #: membership changes.
+        self._srv_cache: list[list | None] = [None] * s
         #: Per-server cached eviction order (ascending priority) for the
         #: preemption baseline; same invalidation discipline.
         self._srv_victims: list[list[int] | None] = [None] * s
@@ -554,12 +560,7 @@ class ClusterSimulator:
         priority-level ablation), and these snapshots must reflect that
         surgery exactly like the reference's live per-event reads did.
         """
-        # Scalar-friendly copies for the preemption inner loops (plain
-        # Python floats: the victim scan adds two numbers per resident and
-        # NumPy scalar overhead dominated it).
-        self._vm_cores_list = self.vm_caps[:, 0].tolist()
-        self._vm_mem_list = self.vm_caps[:, 1].tolist()
-        self._vm_prio_list = self.vm_prio.tolist()
+        self._refresh_vm_lists()
         #: Normalized demand rows for _choose_server.
         self._demand_norm = self.vm_caps / self.server_cap[0]
         self._vm_caps_eps = self.vm_caps - 1e-9
@@ -567,6 +568,20 @@ class ClusterSimulator:
             self._vm_pool = vm_pool_assignment(
                 self.vm_prio, self.vm_deflatable, list(self._pool_of_level)
             )
+
+    def _refresh_vm_lists(self) -> None:
+        """Plain-float mirrors of the per-VM arrays for the scalar hot paths.
+
+        The preemption victim scan and the rebalance cache gather a few
+        values per resident; NumPy scalar indexing and dispatch dominated
+        both, so they read these lists instead.
+        """
+        self._vm_caps_lists = (self.vm_caps[:, 0].tolist(), self.vm_caps[:, 1].tolist())
+        self._vm_prio_list = self.vm_prio.tolist()
+        if self._policy is not None:
+            self._vm_floor_lists = (self.vm_floor[:, 0].tolist(), self.vm_floor[:, 1].tolist())
+            #: Allocation-fraction denominators (CPU capacity, kept off zero).
+            self._vm_frac_denom = np.maximum(self.vm_caps[:, 0], 1e-12).tolist()
 
     # -- failure injection -----------------------------------------------------------
 
@@ -1072,9 +1087,9 @@ class ClusterSimulator:
         defl = self.resident_deflatable[server]
         if not defl:
             return
-        committed = self.committed[server]
-        r0 = committed[0] - self.server_cap[server, 0]
-        r1 = committed[1] - self.server_cap[server, 1]
+        committed, cap, reclaimed = self.committed.item, self.server_cap.item, self.reclaimed
+        r0 = committed(server, 0) - cap(server, 0)
+        r1 = committed(server, 1) - cap(server, 1)
         # Fast path: no pressure and nothing reclaimed.  The policy solves
         # would return all-zero reclaims with every resident at its last
         # recorded full allocation (the ``reclaimed == 0`` invariant implies
@@ -1083,67 +1098,70 @@ class ClusterSimulator:
         if (
             r0 <= 0.0
             and r1 <= 0.0
-            and self.reclaimed[server, 0] == 0.0
-            and self.reclaimed[server, 1] == 0.0
+            and reclaimed.item(server, 0) == 0.0
+            and reclaimed.item(server, 1) == 0.0
         ):
             for c in self._collectors:
                 c.on_rebalance(t, server, self)
             return
-        required = (r0, r1)
         cache = self._srv_cache[server]
         if cache is None:
-            idx = np.fromiter(defl, dtype=np.int64, count=len(defl))
-            caps = self.vm_caps[idx]
-            cache = (
-                idx,
-                # Contiguous per-dimension columns for the policy solves.
-                (caps[:, 0].copy(), caps[:, 1].copy()),
-                (self.vm_floor[idx, 0], self.vm_floor[idx, 1]),
-                self.vm_prio[idx],
-                np.maximum(caps[:, 0], 1e-12),  # frac denominator
-                # Per-dimension reclaim plans, built lazily on first solve:
-                # the plan hoists membership-dependent work (the priority
-                # policy's breakpoint sort) out of the rebalance storm, and
-                # its lifetime is exactly the cache's — any membership change
-                # drops both.  Results are bit-identical to the one-shot
-                # trusted entry (tests/core/test_deflation_trusted.py).
-                [None] * _DIMS,
-            )
-            self._srv_cache[server] = cache
-        idx, caps_dim, floors_dim, prios, frac_denom, plans = cache
-        new_reclaimed = np.zeros((idx.size, _DIMS))
+            # [resident list, CPU plan, memory plan].  Plans are built
+            # lazily on a dimension's first solve: a plan hoists
+            # membership-dependent work (the priority policy's breakpoint
+            # sort) out of the rebalance storm, and its lifetime is exactly
+            # the cache's — any membership change drops both.  Results are
+            # bit-identical to the one-shot trusted entry
+            # (tests/core/test_deflation_trusted.py).
+            cache = self._srv_cache[server] = [list(defl), None, None]
+        idx = cache[0]
+        cpu_reclaim = None
         unsatisfied = False
-        for r in range(_DIMS):
-            req = float(required[r])
+        for r, req in enumerate((r0, r1)):
             if req <= 0.0:
                 # The policy short-circuits required <= 0 into an all-zero,
-                # satisfied reclaim; keep the zero rows without paying its
-                # input validation (typically the memory dimension).
+                # satisfied reclaim; skip the solve (typically the memory
+                # dimension).
+                reclaimed[server, r] = 0.0
                 continue
-            solve = plans[r]
+            solve = cache[r + 1]
             if solve is None:
-                solve = plans[r] = self._policy.reclaim_plan(
-                    caps_dim[r], floors_dim[r], prios
+                caps, floors = self._vm_caps_lists[r], self._vm_floor_lists[r]
+                prio = self._vm_prio_list
+                solve = cache[r + 1] = self._policy.reclaim_plan(
+                    [caps[v] for v in idx], [floors[v] for v in idx], [prio[v] for v in idx]
                 )
-            result = solve(req)
-            new_reclaimed[:, r] = result.reclaimed
-            if not result.satisfied:
+            reclaim, satisfied = solve(req)
+            # Sequential from 0.0: the order of the reference's ``sum(axis=0)``.
+            total = 0.0
+            for x in reclaim:
+                total += x
+            reclaimed[server, r] = total
+            if r == 0:
+                cpu_reclaim = reclaim
+            if not satisfied:
                 unsatisfied = True
-        self.reclaimed[server] = new_reclaimed.sum(axis=0)
         if unsatisfied:
             # Should not happen (feasibility was checked at admission), but a
             # departure race could in principle expose it; count it.
             self.vm_reclaim_failure[idx] = True
             for j in idx:
-                self.outcomes[int(j)].reclaim_failure = True
-        # Record CPU allocation fraction changes (bulk append).
-        frac = 1.0 - new_reclaimed[:, 0] / frac_denom
-        changed = np.abs(frac - self._last_frac[idx]) > 1e-9
-        if changed.any():
-            sel = idx[changed]
-            fsel = frac[changed]
+                self.outcomes[j].reclaim_failure = True
+        # Record CPU allocation fraction changes (one bulk history append).
+        if cpu_reclaim is None:
+            fracs = [1.0] * len(idx)
+        else:
+            denom = self._vm_frac_denom
+            fracs = [1.0 - x / denom[v] for x, v in zip(cpu_reclaim, idx)]
+        last = self._last_frac
+        sel, fsel = [], []
+        for v, f in zip(idx, fracs):
+            if abs(f - last.item(v)) > 1e-9:
+                last[v] = f
+                sel.append(v)
+                fsel.append(f)
+        if sel:
             self._append_history_bulk(sel, t, fsel)
-            self._last_frac[sel] = fsel
         for c in self._collectors:
             c.on_rebalance(t, server, self)
 
@@ -1184,10 +1202,6 @@ class ClusterSimulator:
         self._admit(t, vm, best_server)
         return True
 
-    def _preemption_plan(self, server: int, demand: np.ndarray) -> list[int] | None:
-        """Victims (ascending priority) freeing enough room, or None."""
-        return self._plan_victims(server, float(demand[0]), float(demand[1]), None)
-
     def _plan_victims(
         self, server: int, d0: float, d1: float, limit: int | None
     ) -> list[int] | None:
@@ -1213,7 +1227,7 @@ class ClusterSimulator:
             prio = self._vm_prio_list
             order = sorted(self.resident_deflatable[server], key=lambda v: (prio[v], v))
             self._srv_victims[server] = order
-        cores, mem = self._vm_cores_list, self._vm_mem_list
+        cores, mem = self._vm_caps_lists
         victims: list[int] = []
         freed0 = freed1 = 0.0
         for v in order:
@@ -1264,8 +1278,8 @@ class ClusterSimulator:
         self._hist_n = i + 1
         self._hist_sorted = None
 
-    def _append_history_bulk(self, vms: np.ndarray, t: float, fracs: np.ndarray) -> None:
-        k = vms.size
+    def _append_history_bulk(self, vms: list[int], t: float, fracs: list[float]) -> None:
+        k = len(vms)
         self._hist_reserve(k)
         i = self._hist_n
         self._hist_vm[i : i + k] = vms

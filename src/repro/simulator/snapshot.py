@@ -315,9 +315,7 @@ def restore_into(sim, snap: SimSnapshot) -> None:
     # dip in the prefix may have zeroed or scaled.  A cold run computes it
     # from the pristine row before any failure event fires, so the nominal
     # shape is the bit-identical value.
-    sim._vm_cores_list = sim.vm_caps[:, 0].tolist()
-    sim._vm_mem_list = sim.vm_caps[:, 1].tolist()
-    sim._vm_prio_list = sim.vm_prio.tolist()
+    sim._refresh_vm_lists()
     sim._demand_norm = sim.vm_caps / np.array([cfg.cores_per_server, cfg.memory_per_server_mb])
     sim._vm_caps_eps = sim.vm_caps - 1e-9
     if cfg.partitioned:

@@ -58,12 +58,12 @@ def test_reclaim_plan_matches_trusted_for_stock_policies(base_cls):
     mins = np.array([1.0, 0.5, 0.25])
     prios = np.array([0.2, 0.4, 0.8])
     policy = base_cls()
-    plan = policy.reclaim_plan(caps, mins, prios)
+    plan = policy.reclaim_plan(caps.tolist(), mins.tolist(), prios.tolist())
     for required in (-1.0, 0.0, 3.0, 50.0):
         one_shot = policy.target_allocations_trusted(caps, mins, prios, required)
-        cached = plan(required)
-        assert cached.reclaimed.tolist() == one_shot.reclaimed.tolist()
-        assert cached.satisfied == one_shot.satisfied
+        reclaimed, satisfied = plan(required)
+        assert reclaimed == one_shot.reclaimed.tolist()
+        assert satisfied == one_shot.satisfied
 
 
 @pytest.mark.parametrize("base_cls", STOCK)
@@ -89,8 +89,8 @@ def test_reclaim_plan_honors_subclass_target_allocations(base_cls):
     mins = np.array([0.5, 0.5])
     prios = np.array([0.3, 0.6])
     custom = Custom()
-    plan = custom.reclaim_plan(caps, mins, prios)
+    plan = custom.reclaim_plan(caps.tolist(), mins.tolist(), prios.tolist())
     via_hook = custom.target_allocations(caps, mins, prios, 2.0)
-    assert plan(2.0).reclaimed.tolist() == via_hook.reclaimed.tolist(), (
+    assert plan(2.0)[0] == via_hook.reclaimed.tolist(), (
         "reclaim_plan must route through the subclass override"
     )

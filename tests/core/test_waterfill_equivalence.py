@@ -13,9 +13,10 @@ here, in three layers:
    allocation conserves the requested reclaim to near machine precision,
    respects per-VM bounds exactly, and is monotone in the requested
    amount.
-3. **Policy plumbing**: the priority policy's cached ``reclaim_plan`` is
-   bit-identical to its one-shot trusted entry, and policy-level
-   allocations stay inside ``[m_i^eff, M_i]``.
+3. **Policy plumbing**: the priority policy's cached ``reclaim_plan``
+   (float lists in, ``(reclaimed, satisfied)`` out) is bit-identical to
+   its one-shot trusted entry, and policy-level allocations stay inside
+   ``[m_i^eff, M_i]``.
 
 Every instance is reproducible from the seed in the failure message.
 """
@@ -138,9 +139,10 @@ def test_plan_reuse_is_bit_identical():
     rng = np.random.default_rng(SEED + 3)
     for trial in range(60):
         base, weight, cap = _random_instance(rng, trial)
-        plan = _WaterfillPlan(base, weight, cap)
+        plan = _WaterfillPlan(base.tolist(), weight.tolist(), cap.tolist())
         for amount in _amounts(rng, cap):
-            assert (plan.reclaim(amount) == _waterfill_reclaim(base, weight, cap, amount)).all()
+            reused = np.array(plan.reclaim(amount))
+            assert reused.tobytes() == _waterfill_reclaim(base, weight, cap, amount).tobytes()
 
 
 @pytest.mark.parametrize("policy_name", ["priority", "priority-eq3"])
@@ -176,18 +178,19 @@ def test_reclaim_plan_matches_trusted_entry(policy_name):
         caps = rng.integers(1, 33, n).astype(np.float64)
         mins = caps * rng.uniform(0.0, 0.9, n)
         prios = rng.choice(PRIORITY_LEVELS, n)
-        plan = policy.reclaim_plan(caps, mins, prios)
+        plan = policy.reclaim_plan(caps.tolist(), mins.tolist(), prios.tolist())
         eff_min = np.maximum(mins, prios * caps) if policy.priority_floor else mins
         pool_total = float((caps - eff_min).sum())
         for required in (-1.0, 0.0, 0.3 * pool_total, 0.9 * pool_total,
                          pool_total, float(caps.sum())):
             one_shot = policy.target_allocations_trusted(caps, mins, prios, required)
-            cached = plan(required)
-            assert (one_shot.allocations == cached.allocations).all(), (
+            reclaimed, satisfied = plan(required)
+            cached = np.array(reclaimed, dtype=np.float64)
+            assert (one_shot.allocations == caps - cached).all(), (
                 f"seed={SEED + 5} trial={trial} required={required}"
             )
-            assert (one_shot.reclaimed == cached.reclaimed).all()
-            assert one_shot.satisfied == cached.satisfied
+            assert one_shot.reclaimed.tobytes() == cached.tobytes()
+            assert one_shot.satisfied == satisfied
 
 
 @pytest.mark.slow

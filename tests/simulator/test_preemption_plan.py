@@ -1,6 +1,6 @@
 """Coverage for the preemption baseline's victim planner.
 
-``_preemption_plan`` decides which deflatable residents an arriving
+``_plan_victims`` decides which deflatable residents an arriving
 on-demand VM evicts: victims accumulate in ascending priority order until
 the demand fits, the plan is empty when the VM already fits, and it is None
 when even evicting every deflatable resident would not make room.
@@ -51,8 +51,7 @@ def sim_with_residents(prios_and_cores, cores_per_server=48, length=50):
 class TestPlanShape:
     def test_empty_plan_when_vm_already_fits(self):
         sim = sim_with_residents([(0.2, 8), (0.8, 8)], cores_per_server=48)
-        demand = np.array([8.0, 64.0])
-        assert sim._preemption_plan(0, demand) == []
+        assert sim._plan_victims(0, 8.0, 64.0, None) == []
 
     def test_victims_ascend_by_priority(self):
         # Residents deliberately admitted in non-priority order.
@@ -60,33 +59,32 @@ class TestPlanShape:
             [(0.8, 8), (0.2, 8), (0.6, 8), (0.4, 8)], cores_per_server=34
         )
         # 2 free cores; a 20-core demand needs 18 more -> three victims.
-        victims = sim._preemption_plan(0, np.array([20.0, 64.0]))
+        victims = sim._plan_victims(0, 20.0, 64.0, None)
         prios = [round(float(sim.vm_prio[v]), 1) for v in victims]
         assert prios == sorted(prios), "victims must ascend by priority"
         assert prios == [0.2, 0.4, 0.6]
 
     def test_priority_ties_break_by_vm_index(self):
         sim = sim_with_residents([(0.2, 8), (0.2, 8), (0.2, 8)], cores_per_server=24)
-        victims = sim._preemption_plan(0, np.array([10.0, 64.0]))
+        victims = sim._plan_victims(0, 10.0, 64.0, None)
         assert victims == sorted(victims)
 
     def test_none_when_even_total_eviction_is_insufficient(self):
         sim = sim_with_residents([(0.2, 8), (0.4, 8)], cores_per_server=24)
         # 8 cores free + 16 deflatable: a 30-core demand can never fit.
-        assert sim._preemption_plan(0, np.array([30.0, 64.0])) is None
+        assert sim._plan_victims(0, 30.0, 64.0, None) is None
 
     def test_memory_dimension_counts_too(self):
         sim = sim_with_residents([(0.2, 4)], cores_per_server=48)
         # Fits on CPU but needs more memory than the server has at all.
-        huge_mem = np.array([4.0, 1e9])
-        assert sim._preemption_plan(0, huge_mem) is None
+        assert sim._plan_victims(0, 4.0, 1e9, None) is None
 
     def test_plan_stops_at_first_sufficient_victim_set(self):
         sim = sim_with_residents(
             [(0.2, 16), (0.4, 8), (0.6, 8)], cores_per_server=32
         )
         # 0 free; demand 12 is covered by the first (16-core) victim alone.
-        victims = sim._preemption_plan(0, np.array([12.0, 64.0]))
+        victims = sim._plan_victims(0, 12.0, 64.0, None)
         assert len(victims) == 1
         assert round(float(sim.vm_prio[victims[0]]), 1) == 0.2
 
