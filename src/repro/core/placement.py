@@ -248,11 +248,29 @@ def vectorized_cosine_scores(
     demand = np.asarray(demand, dtype=np.float64)
     if demand.shape != (NUM_RESOURCES,):
         raise PlacementError(f"demand must have shape ({NUM_RESOURCES},)")
-    mat = np.asarray(availability_matrix, dtype=np.float64)
-    # Inlined 2-norm (what np.linalg.norm(mat, axis=1) computes for real
-    # float64, bit for bit) — skips the linalg dispatch on this hot path.
-    norms = np.sqrt(np.add.reduce(mat * mat, axis=1))
+    return _cosine_kernel(
+        demand, np.asarray(availability_matrix, dtype=np.float64), _checked_norm(demand, eps), eps
+    )
+
+
+def _checked_norm(demand: np.ndarray, eps: float = 1e-12) -> float:
+    """The 2-norm :func:`vectorized_cosine_scores` divides by; rejects zero demands."""
     dnorm = float(np.linalg.norm(demand))
     if dnorm < eps:
         raise PlacementError("demand vector must be non-zero")
+    return dnorm
+
+
+def _cosine_kernel(
+    demand: np.ndarray, mat: np.ndarray, dnorm: float, eps: float = 1e-12
+) -> np.ndarray:
+    """The one cosine implementation, given the demand's precomputed norm.
+
+    Callers that score the same demand repeatedly (the simulator's
+    :class:`~repro.simulator.components.CosineScorer`) compute ``dnorm`` once
+    with :func:`_checked_norm` and call this directly.
+    """
+    # Inlined 2-norm (what np.linalg.norm(mat, axis=1) computes for real
+    # float64, bit for bit) — skips the linalg dispatch on this hot path.
+    norms = np.sqrt(np.add.reduce(mat * mat, axis=1))
     return (mat @ demand) / (np.maximum(norms, eps) * dnorm)

@@ -746,8 +746,7 @@ class FailureInjector:
             return
         self._dip_active[server] = scale
         self.counts["capacity_dips"] += 1
-        sim.server_cap[server] = self._nominal_cap[server] * scale
-        sim._cap_eps[server] = sim.server_cap[server] + 1e-9
+        sim._set_capacity(server, self._nominal_cap[server] * scale)
         for c in sim._collectors:
             c.on_capacity_dip(t, server, scale, sim)
         self._absorb_pressure(sim, t, server)
@@ -756,8 +755,7 @@ class FailureInjector:
         if server in self._revoked or server not in self._dip_active:
             return
         del self._dip_active[server]
-        sim.server_cap[server] = self._nominal_cap[server]
-        sim._cap_eps[server] = sim.server_cap[server] + 1e-9
+        sim._set_capacity(server, self._nominal_cap[server])
         for c in sim._collectors:
             c.on_capacity_dip(t, server, 1.0, sim)
         if sim._policy is not None and sim.resident_deflatable[server]:

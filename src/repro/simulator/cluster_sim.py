@@ -62,7 +62,14 @@ from the reference):
   mirrors of the per-VM arrays (``_refresh_vm_lists``) and return reclaim
   lists; the per-dimension totals are summed sequentially (the order of
   the reference's ``sum(axis=0)``) and the fraction-change test runs per
-  VM, as the reference's does.
+  VM, as the reference's does;
+* placement scores a per-server cache of normalized availability rows
+  (``_avail_norm``) instead of rebuilding availability for every
+  candidate on every arrival.  Only the simulator's mutators write server
+  state, and each marks its server dirty; ``_refresh_avail`` recomputes
+  just those rows with Python floats in the reference formula's
+  operation order, and the cosine scorer caches each demand shape's
+  padded vector and norm.
 
 Events are processed strictly one at a time.  Coalescing a timestamp's
 departures into one rebalance per server is *not* exact: ``_rebalance``
@@ -525,6 +532,12 @@ class ClusterSimulator:
         self._srv_victims: list[list[int] | None] = [None] * s
         #: Constant per-event operands, hoisted out of the loop.
         self._cap_eps = self.server_cap + 1e-9
+        #: Per-server normalized availability rows (``availability /
+        #: server_cap``) the scorer ranks, built on the first scoring and
+        #: then refreshed only where ``_avail_dirty`` says the state changed
+        #: (see :meth:`_refresh_avail`).  None = rebuild every row.
+        self._avail_norm: np.ndarray | None = None
+        self._avail_dirty: set[int] = set()
         #: Candidate index arrays, precomputed once (read-only).
         self._all_servers = np.arange(s)
         # Partition assignment: deflatable pools 0..n_partitions-1 by
@@ -561,7 +574,7 @@ class ClusterSimulator:
         surgery exactly like the reference's live per-event reads did.
         """
         self._refresh_vm_lists()
-        #: Normalized demand rows for _choose_server.
+        #: Normalized demand rows for the scorer (see _best_server).
         self._demand_norm = self.vm_caps / self.server_cap[0]
         self._vm_caps_eps = self.vm_caps - 1e-9
         if self.config.partitioned:
@@ -611,8 +624,18 @@ class ClusterSimulator:
         if self._server_alive is None:
             self._server_alive = np.ones(len(self.residents), dtype=bool)
         self._server_alive[server] = False
-        self.server_cap[server] = 0.0
-        self._cap_eps[server] = 1e-9
+        self._set_capacity(server, 0.0)
+
+    def _set_capacity(self, server: int, row) -> None:
+        """Set one server's capacity row (revocation, capacity dips).
+
+        The one writer of ``server_cap`` after construction: it keeps the
+        ``_cap_eps`` invariant (capacity + 1e-9) and the placement cache
+        coherent.
+        """
+        self.server_cap[server] = row
+        self._cap_eps[server] = self.server_cap[server] + 1e-9
+        self._avail_dirty.add(server)
 
     def _mark_draining(self, server: int) -> None:
         """Stop placements onto a server pending revocation (warning window).
@@ -658,6 +681,9 @@ class ClusterSimulator:
         self.resident_deflatable.append({})
         self._srv_cache.append(None)
         self._srv_victims.append(None)
+        if self._avail_norm is not None:
+            self._avail_norm = np.vstack([self._avail_norm, zero])
+            self._avail_dirty.add(index)
         self._all_servers = np.arange(n + 1)
         if self._server_alive is not None:
             self._server_alive = np.append(self._server_alive, True)
@@ -972,44 +998,73 @@ class ClusterSimulator:
             # argmax over one candidate is that candidate; skip the scoring.
             server = int(pool_idx[0])
         else:
-            # Availability (Section 5.2): free + deflatable/overcommitment.
-            if pool_idx is self._all_servers:
-                com, recl = self.committed, self.reclaimed
-                dcap, dfloor, scap = self.defl_cap, self.defl_floor, self.server_cap
-            else:
-                com, recl = self.committed[pool_idx], self.reclaimed[pool_idx]
-                dcap, dfloor = self.defl_cap[pool_idx], self.defl_floor[pool_idx]
-                scap = self.server_cap[pool_idx]
-            used = com - recl
-            free = np.maximum(scap - used, 0.0)
-            headroom = np.maximum((dcap - recl) - dfloor, 0.0)
-            oc = np.maximum(com / scap, 1.0)
-            availability = free + headroom / oc
-            server = self._choose_server(vm, pool_idx, availability, scap)
+            server = self._best_server(vm, pool_idx)
 
         self._admit(t, vm, server)
         self._rebalance(t, server)
         return True
 
-    def _choose_server(
-        self,
-        vm: int,
-        pool_idx: np.ndarray,
-        availability: np.ndarray,
-        cap_rows: np.ndarray | None = None,
-    ) -> int:
+    def _best_server(self, vm: int, pool_idx: np.ndarray) -> int:
         """Rank candidate servers with the configured scorer; argmax wins.
 
         Both vectors are normalized into capacity fractions so scorers
         compare shapes, not raw units (memory MB would dwarf CPU cores).
-        ``cap_rows`` carries ``server_cap[pool_idx]`` when the caller already
-        gathered it.
+        The rows come from the availability cache; scorers must not mutate
+        them.
         """
-        if cap_rows is None:
-            cap_rows = self.server_cap[pool_idx]
-        avail_norm = availability / cap_rows
-        scores = self._scorer.score(self._demand_norm[vm], avail_norm)
-        return int(pool_idx[int(np.argmax(scores))])
+        avail = self._refresh_avail()
+        if pool_idx is not self._all_servers:
+            avail = avail[pool_idx]
+        scores = self._scorer.score(self._demand_norm[vm], avail)
+        return int(pool_idx[scores.argmax()])
+
+    def _refresh_avail(self) -> np.ndarray:
+        """Recompute the dirty rows of the availability cache; return it.
+
+        A deflation policy's row is the paper's availability (Section 5.2),
+        free + deflatable headroom / overcommitment, over capacity; the
+        preemption baseline's is its free capacity over capacity.  Rows
+        are recomputed with Python floats in the operation order of the
+        vectorized formula they replace (``x if x >= 0.0 else 0.0`` is
+        ``np.maximum(x, 0.0)``, signed zeros included), so every row is
+        bit-identical to a from-scratch NumPy recompute.  Zero-capacity
+        (revoked) rows are never scored and are written as zeros.
+        """
+        avail = self._avail_norm
+        dirty = self._avail_dirty
+        if avail is None:
+            dirty = range(len(self.residents))
+            avail = self._avail_norm = np.zeros((len(dirty), _DIMS))
+        elif not dirty:
+            return avail
+        com, cap = self.committed.item, self.server_cap.item
+        if self._policy is None:
+            for j in dirty:
+                for r in range(_DIMS):
+                    c = cap(j, r)
+                    if c == 0.0:
+                        avail[j, r] = 0.0
+                        continue
+                    free = c - com(j, r)
+                    avail[j, r] = (free if free >= 0.0 else 0.0) / c
+        else:
+            recl, dcap, dfloor = self.reclaimed.item, self.defl_cap.item, self.defl_floor.item
+            for j in dirty:
+                for r in range(_DIMS):
+                    c = cap(j, r)
+                    if c == 0.0:
+                        avail[j, r] = 0.0
+                        continue
+                    cm, rc = com(j, r), recl(j, r)
+                    free = c - (cm - rc)
+                    headroom = (dcap(j, r) - rc) - dfloor(j, r)
+                    oc = cm / c
+                    avail[j, r] = (
+                        (free if free >= 0.0 else 0.0)
+                        + (headroom if headroom >= 0.0 else 0.0) / (oc if oc >= 1.0 else 1.0)
+                    ) / c
+        self._avail_dirty.clear()
+        return avail
 
     def _admit(self, t: float, vm: int, server: int) -> None:
         out = self.outcomes[vm]
@@ -1017,6 +1072,7 @@ class ClusterSimulator:
         self.vm_placed[vm] = True
         self.committed[server] += self.vm_caps[vm]
         self._committed_cores += float(self.vm_caps[vm, 0])
+        self._avail_dirty.add(server)
         self.residents[server][vm] = None
         self.vm_server[vm] = server
         if self.vm_deflatable[vm]:
@@ -1044,6 +1100,7 @@ class ClusterSimulator:
         """
         self.committed[server] -= self.vm_caps[vm]
         self._committed_cores -= float(self.vm_caps[vm, 0])
+        self._avail_dirty.add(server)
         del self.residents[server][vm]
         if self.vm_deflatable[vm]:
             del self.resident_deflatable[server][vm]
@@ -1062,6 +1119,7 @@ class ClusterSimulator:
         """
         self.committed[server] += self.vm_caps[vm]
         self._committed_cores += float(self.vm_caps[vm, 0])
+        self._avail_dirty.add(server)
         self.residents[server][vm] = None
         if self.vm_deflatable[vm]:
             self.resident_deflatable[server][vm] = None
@@ -1104,6 +1162,7 @@ class ClusterSimulator:
             for c in self._collectors:
                 c.on_rebalance(t, server, self)
             return
+        self._avail_dirty.add(server)  # ``reclaimed`` is rewritten below
         cache = self._srv_cache[server]
         if cache is None:
             # [resident list, CPU plan, memory plan].  Plans are built
@@ -1176,7 +1235,7 @@ class ClusterSimulator:
         fits = (free >= self._vm_caps_eps[vm]).all(axis=1)
         fit_idx = candidates[fits]
         if fit_idx.size > 0:
-            self._admit(t, vm, self._choose_server(vm, fit_idx, np.maximum(free[fits], 0.0)))
+            self._admit(t, vm, self._best_server(vm, fit_idx))
             return True
         if self.vm_deflatable[vm]:
             # Low-priority arrivals are not allowed to preempt others.

@@ -293,6 +293,8 @@ def restore_into(sim, snap: SimSnapshot) -> None:
     # Pure caches: reset, they rebuild bit-identically on demand.
     sim._srv_cache = [None] * s
     sim._srv_victims = [None] * s
+    sim._avail_norm = None
+    sim._avail_dirty = set()
     sim._hist_sorted = None
     nh = st["hist_vm"].size
     cap = max(4 * n, 64, nh)

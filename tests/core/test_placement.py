@@ -14,8 +14,10 @@ from repro.core.placement import (
     partition_for_priority,
     vectorized_cosine_scores,
 )
-from repro.core.resources import ResourceVector
+from repro.core.resources import NUM_RESOURCES, ResourceVector
 from repro.errors import PlacementError
+from repro.simulator.components import CosineScorer
+from repro.traces import SIZE_MENU
 
 
 def snap(sid, cap_cpu=48, used_cpu=0, defl_cpu=0, oc=1.0, partition=None):
@@ -151,3 +153,31 @@ class TestVectorizedScores:
     def test_bad_shape_rejected(self):
         with pytest.raises(PlacementError):
             vectorized_cosine_scores(np.ones(3), np.ones((2, 3)))
+
+
+class TestCosineScorerBits:
+    """The simulator's ``CosineScorer`` caches each demand's padded vector
+    and norm; its scores must equal the public validating entry on the
+    same padded inputs, byte for byte."""
+
+    def test_cached_norm_matches_public_entry(self):
+        rng = np.random.default_rng(14)
+        demands = [np.array([cores / 48.0, mem / (128 * 1024)]) for cores, mem in SIZE_MENU]
+        scorer = CosineScorer()
+        for rows in range(1, 301):
+            avail = rng.uniform(0.0, 1.5, size=(rows, 2))
+            avail[rng.random(rows) < 0.2] = 0.0  # all-zero rows (full servers)
+            demand = demands[rows % len(demands)]  # interleaved: the cache is hit
+            padded_demand = np.zeros(NUM_RESOURCES)
+            padded_demand[:2] = demand
+            padded_avail = np.zeros((rows, NUM_RESOURCES))
+            padded_avail[:, :2] = avail
+            expected = vectorized_cosine_scores(padded_demand, padded_avail)
+            assert scorer.score(demand, avail).tobytes() == expected.tobytes(), rows
+        assert len(scorer._demands) == len(SIZE_MENU)
+
+    def test_zero_demand_still_rejected(self):
+        scorer = CosineScorer()
+        for _ in range(2):  # a rejected demand is never cached
+            with pytest.raises(PlacementError):
+                scorer.score(np.zeros(2), np.ones((3, 2)))
