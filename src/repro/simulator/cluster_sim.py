@@ -313,16 +313,18 @@ def vm_class_arrays(traces: VMTraceSet) -> tuple[np.ndarray, np.ndarray, np.ndar
     engine's splitter — the two must agree exactly for cross-engine
     bit-equivalence, so neither may reimplement it.
     """
-    n = len(traces)
-    vm_caps = np.zeros((n, _DIMS))
-    vm_prio = np.ones(n)
-    vm_deflatable = np.zeros(n, dtype=bool)
-    for i, rec in enumerate(traces):
-        vm_caps[i, 0] = rec.cores
-        vm_caps[i, 1] = rec.memory_mb
-        if rec.vm_class == VMClass.INTERACTIVE:
-            vm_deflatable[i] = True
-            vm_prio[i] = priority_from_p95(rec.p95_cpu)
+    interactive = VMClass.INTERACTIVE
+    vm_caps = np.zeros((len(traces), _DIMS))
+    vm_caps[:, 0] = [rec.cores for rec in traces]
+    vm_caps[:, 1] = [rec.memory_mb for rec in traces]
+    vm_deflatable = np.array([rec.vm_class is interactive for rec in traces], dtype=bool)
+    vm_prio = np.array(
+        [
+            priority_from_p95(rec.p95_cpu) if rec.vm_class is interactive else 1.0
+            for rec in traces
+        ],
+        dtype=np.float64,
+    )
     return vm_caps, vm_prio, vm_deflatable
 
 
@@ -460,23 +462,26 @@ class ClusterSimulator:
         self.vm_rejected = np.zeros(n, dtype=bool)
         self.vm_preempted = np.zeros(n, dtype=bool)
         self.vm_reclaim_failure = np.zeros(n, dtype=bool)
-        self.vm_start = np.zeros(n, dtype=np.int64)
-        self.vm_end = np.zeros(n, dtype=np.int64)
-        self.vm_lifetime = np.zeros(n, dtype=np.int64)
-        self.outcomes: list[VMOutcome] = []
-        for i, rec in enumerate(self.traces):
-            self.vm_start[i] = rec.start_interval
-            self.vm_end[i] = rec.end_interval
-            self.vm_lifetime[i] = rec.lifetime_intervals
-            self.outcomes.append(
-                VMOutcome(
-                    vm_index=i,
-                    deflatable=bool(self.vm_deflatable[i]),
-                    priority=float(self.vm_prio[i]),
-                    cores=float(rec.cores),
-                    end_interval=float(rec.end_interval),
+        self.vm_start = np.array([rec.start_interval for rec in self.traces], dtype=np.int64)
+        self.vm_lifetime = np.array([rec.cpu_util.size for rec in self.traces], dtype=np.int64)
+        self.vm_end = self.vm_start + self.vm_lifetime
+        self.outcomes: list[VMOutcome] = [
+            VMOutcome(
+                vm_index=i,
+                deflatable=deflatable,
+                priority=priority,
+                cores=cores,
+                end_interval=float(end),
+            )
+            for i, (deflatable, priority, cores, end) in enumerate(
+                zip(
+                    self.vm_deflatable.tolist(),
+                    self.vm_prio.tolist(),
+                    self.vm_caps[:, 0].tolist(),
+                    self.vm_end.tolist(),
                 )
             )
+        ]
         # Policy floors: priority/deterministic deflate only to pi*M; every
         # policy additionally respects the configured QoS minimum fraction.
         base_floor = self.vm_caps * self.config.min_fraction
@@ -1518,11 +1523,15 @@ def servers_for_overcommitment(
     """
     if overcommitment < 0:
         raise SimulationError("overcommitment must be >= 0")
-    horizon = traces.horizon()
-    load = np.zeros(horizon + 1)
-    for rec in traces:
-        load[rec.start_interval] += rec.cores
-        load[rec.end_interval] -= rec.cores
+    # Per interval: + cores at each start, - cores at each end, accumulated
+    # in trace order (start before end per VM) by one bincount.
+    steps = np.array(
+        [(rec.start_interval, rec.start_interval + rec.cpu_util.size) for rec in traces],
+        dtype=np.int64,
+    ).reshape(-1)
+    cores = np.array([rec.cores for rec in traces], dtype=np.float64)
+    signed = np.column_stack((cores, -cores)).reshape(-1)
+    load = np.bincount(steps, weights=signed, minlength=1)
     peak = float(np.cumsum(load).max())
     n = math.ceil(peak / (cores_per_server * (1.0 + overcommitment)))
     return max(1, n)

@@ -29,6 +29,7 @@ Class-conditioned generators:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,22 @@ SIZE_MENU: tuple[tuple[int, float], ...] = (
 
 #: Sampling weights for the size menu (small sizes dominate real clouds).
 SIZE_WEIGHTS: tuple[float, ...] = (0.18, 0.16, 0.16, 0.12, 0.12, 0.10, 0.08, 0.05, 0.03)
+
+
+def _choice_cdf(weights) -> list[float]:
+    """The CDF that ``rng.choice(k, p=weights / sum(weights))`` searches.
+
+    ``Generator.choice`` with ``p`` draws one ``rng.random()`` double ``u``
+    and returns ``searchsorted(cdf, u, side="right")``; ``bisect_right``
+    over this list returns the same index from the same single draw.
+    """
+    p = np.asarray(weights, dtype=np.float64)
+    p = p / p.sum()
+    cdf = np.cumsum(p)
+    return (cdf / cdf[-1]).tolist()
+
+
+_SIZE_CDF = _choice_cdf(SIZE_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -90,17 +107,31 @@ class AzureTraceConfig:
             raise TraceError("n_vms must be >= 1")
         if self.horizon_intervals < 2:
             raise TraceError("horizon must be >= 2 intervals")
+        for vm_class, weight in self.class_mix.items():
+            if not (math.isfinite(weight) and weight >= 0):
+                raise TraceError(
+                    f"class_mix weight of {vm_class} must be finite and >= 0, got {weight}"
+                )
         total = sum(self.class_mix.values())
         if not math.isclose(total, 1.0, rel_tol=1e-6):
             raise TraceError(f"class_mix must sum to 1, got {total}")
 
 
-def _interactive_series(rng: np.ndarray, n: int, start: int) -> np.ndarray:
+def _uniforms(rng: np.random.Generator, *bounds: tuple[float, float]) -> list[float]:
+    """One ``rng.uniform(lo, hi)`` per ``(lo, hi)``, from a single ``rng.random(k)``.
+
+    ``Generator.uniform`` returns ``lo + (hi - lo) * u`` for one ``random()``
+    double ``u``; a vector draw yields the same doubles in the same order.
+    """
+    draws = rng.random(len(bounds)).tolist()
+    return [lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws)]
+
+
+def _interactive_series(rng: np.random.Generator, n: int, start: int) -> np.ndarray:
     """Diurnal interactive utilization (fraction of allocated CPU)."""
-    baseline = rng.uniform(0.04, 0.28)
-    amplitude = rng.uniform(0.18, 0.55)
-    phase = rng.uniform(0, INTERVALS_PER_DAY)
-    sharpness = rng.uniform(1.0, 3.0)
+    baseline, amplitude, phase, sharpness = _uniforms(
+        rng, (0.04, 0.28), (0.18, 0.55), (0, INTERVALS_PER_DAY), (1.0, 3.0)
+    )
     t = np.arange(start, start + n)
     diurnal = 0.5 * (1.0 + np.sin(2 * np.pi * (t - phase) / INTERVALS_PER_DAY))
     series = baseline + amplitude * diurnal**sharpness
@@ -110,16 +141,16 @@ def _interactive_series(rng: np.ndarray, n: int, start: int) -> np.ndarray:
     for _ in range(n_bursts):
         pos = rng.integers(0, n)
         width = int(rng.integers(1, 8))
-        series[pos : pos + width] += rng.uniform(0.2, 0.55)
-    return np.clip(series, 0.0, 1.0)
+        series[pos : pos + width] += 0.2 + (0.55 - 0.2) * rng.random()  # rng.uniform(0.2, 0.55)
+    return series.clip(0.0, 1.0)
 
 
-def _batch_series(rng: np.ndarray, n: int, start: int) -> np.ndarray:
+def _batch_series(rng: np.random.Generator, n: int, start: int) -> np.ndarray:
     """On/off batch utilization: busy phases of sustained high usage."""
-    busy_level = rng.uniform(0.55, 0.92)
-    idle_level = rng.uniform(0.02, 0.15)
-    duty = rng.uniform(0.20, 0.60)  # fraction of time busy
-    mean_busy_len = rng.uniform(6, 4 * 12)  # 30 min .. 4 h
+    # duty: fraction of time busy; mean_busy_len: 30 min .. 4 h.
+    busy_level, idle_level, duty, mean_busy_len = _uniforms(
+        rng, (0.55, 0.92), (0.02, 0.15), (0.20, 0.60), (6, 4 * 12)
+    )
     mean_idle_len = mean_busy_len * (1.0 - duty) / max(duty, 1e-3)
     series = np.empty(n)
     pos = 0
@@ -128,13 +159,14 @@ def _batch_series(rng: np.ndarray, n: int, start: int) -> np.ndarray:
         length = max(1, int(rng.exponential(mean_busy_len if busy else mean_idle_len)))
         level = busy_level if busy else idle_level
         end = min(n, pos + length)
-        series[pos:end] = level + rng.normal(0.0, 0.05, size=end - pos)
+        # Generator.normal draws loc + scale * z: the level plus N(0, 0.05) noise.
+        series[pos:end] = rng.normal(level, 0.05, size=end - pos)
         pos = end
         busy = not busy
-    return np.clip(series, 0.0, 1.0)
+    return series.clip(0.0, 1.0)
 
 
-def _unknown_series(rng: np.ndarray, n: int, start: int) -> np.ndarray:
+def _unknown_series(rng: np.random.Generator, n: int, start: int) -> np.ndarray:
     if rng.random() < 0.5:
         return _interactive_series(rng, n, start)
     return _batch_series(rng, n, start)
@@ -169,19 +201,17 @@ def synthesize_azure_trace(config: AzureTraceConfig | None = None) -> VMTraceSet
     cfg = config if config is not None else AzureTraceConfig()
     rng = np.random.default_rng(cfg.seed)
 
-    classes = list(cfg.class_mix.keys())
-    probs = np.array([cfg.class_mix[c] for c in classes], dtype=np.float64)
-    probs = probs / probs.sum()
-    size_probs = np.array(SIZE_WEIGHTS) / np.sum(SIZE_WEIGHTS)
+    classes = list(cfg.class_mix)
+    class_cdf = _choice_cdf([cfg.class_mix[c] for c in classes])
+    # Lifetime: lognormal with the configured mean, at least 2 intervals,
+    # clipped to what remains of the horizon after the start.
+    mu = math.log(cfg.mean_lifetime_intervals) - 0.5
 
     records: list[VMTraceRecord] = []
     for i in range(cfg.n_vms):
-        vm_class = classes[int(rng.choice(len(classes), p=probs))]
-        cores, memory_mb = SIZE_MENU[int(rng.choice(len(SIZE_MENU), p=size_probs))]
-
-        # Lifetime: lognormal with the configured mean, at least 2 intervals,
-        # clipped to what remains of the horizon after the start.
-        mu = math.log(cfg.mean_lifetime_intervals) - 0.5
+        # Class and size as rng.choice(k, p=...) draws them (see _choice_cdf).
+        vm_class = classes[bisect_right(class_cdf, rng.random())]
+        cores, memory_mb = SIZE_MENU[bisect_right(_SIZE_CDF, rng.random())]
         lifetime = max(2, int(rng.lognormal(mean=mu, sigma=1.0)))
         start = _diurnal_start(rng, cfg)
         lifetime = min(lifetime, cfg.horizon_intervals - start)

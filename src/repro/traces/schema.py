@@ -10,10 +10,15 @@ Two shapes of data, mirroring the paper's two datasets:
   utilization series.
 
 Utilizations are fractions of the *allocated* resource in ``[0, 1]``.
+Every series is validated on construction: it must be 1-D, non-empty and
+finite (a NaN or infinite entry raises :class:`~repro.errors.TraceError`),
+and lie in ``[0, 1]`` up to a ``1e-9`` tolerance; the stored copy is
+clipped to ``[0, 1]``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +40,41 @@ def _check_utilization(series: np.ndarray, name: str) -> np.ndarray:
         raise TraceError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise TraceError(f"{name} must be non-empty")
-    if np.any(arr < -1e-9) or np.any(arr > 1 + 1e-9):
+    # The ufunc reductions propagate NaN, so one range test also rejects it.
+    lo = float(np.minimum.reduce(arr))
+    hi = float(np.maximum.reduce(arr))
+    if not (lo >= -1e-9 and hi <= 1 + 1e-9):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise TraceError(f"{name} must be finite")
         raise TraceError(f"{name} must lie in [0, 1]")
-    return np.clip(arr, 0.0, 1.0)
+    if lo < 0.0 or hi > 1.0:
+        return arr.clip(0.0, 1.0)
+    return arr.copy()  # clipping in-range values (-0.0 included) changes no bit
+
+
+def percentile95(values: np.ndarray) -> float:
+    """``float(np.percentile(values, 95))`` of a finite 1-D float64 array, bit for bit.
+
+    NumPy's default ("linear") method without its per-call dispatch: the
+    virtual index ``(n - 1) * 0.95``, a partition over the same index set
+    NumPy partitions over (so ties between ``-0.0`` and ``0.0`` resolve the
+    same way), and the two branches of NumPy's ``_lerp`` in Python floats.
+    """
+    n = values.size
+    virtual = (n - 1) * 0.95
+    below = above = -1  # at or past the last index NumPy takes the maximum
+    if virtual < n - 1:
+        below = math.floor(virtual)
+        above = below + 1
+    part = values.copy()
+    part.partition(sorted({0, -1, below, above}))
+    a = float(part[below])
+    b = float(part[above])
+    gamma = virtual - below
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 @dataclass
@@ -55,6 +92,10 @@ class VMTraceRecord:
         self.cpu_util = _check_utilization(self.cpu_util, "cpu_util")
         if self.cores < 1 or self.memory_mb <= 0:
             raise TraceError("VM must have >= 1 core and > 0 memory")
+        # The simulator and servers_for_overcommitment index intervals with
+        # it; a fractional start would be truncated silently.
+        if not isinstance(self.start_interval, (int, np.integer)):
+            raise TraceError(f"start_interval must be an integer, got {self.start_interval!r}")
         if self.start_interval < 0:
             raise TraceError("start_interval must be >= 0")
 
@@ -65,7 +106,7 @@ class VMTraceRecord:
     @property
     def end_interval(self) -> int:
         """Exclusive end interval."""
-        return self.start_interval + self.lifetime_intervals
+        return self.start_interval + self.cpu_util.size
 
     @property
     def p95_cpu(self) -> float:
@@ -77,7 +118,7 @@ class VMTraceRecord:
         """
         cached = self.__dict__.get("_p95_cpu")
         if cached is None:
-            cached = float(np.percentile(self.cpu_util, 95))
+            cached = percentile95(self.cpu_util)
             self.__dict__["_p95_cpu"] = cached
         return cached
 
@@ -131,7 +172,7 @@ class VMTraceSet:
 
     def horizon(self) -> int:
         """Last (exclusive) interval across all records."""
-        return max((r.end_interval for r in self.records), default=0)
+        return max((r.start_interval + r.cpu_util.size for r in self.records), default=0)
 
     def total_core_intervals(self) -> float:
         return float(sum(r.cores * r.lifetime_intervals for r in self.records))

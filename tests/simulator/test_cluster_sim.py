@@ -1,5 +1,7 @@
 """Tests for the trace-driven cluster simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,24 @@ class TestServersForOvercommitment:
     def test_negative_rejected(self, azure_trace):
         with pytest.raises(SimulationError):
             servers_for_overcommitment(azure_trace, -0.1)
+
+    @staticmethod
+    def _loop_peak_servers(traces, oc, cores_per_server=48.0):
+        """The per-record loop the bincount replaced, kept as the reference."""
+        load = np.zeros(traces.horizon() + 1)
+        for rec in traces:
+            load[rec.start_interval] += rec.cores
+            load[rec.end_interval] -= rec.cores
+        peak = float(np.cumsum(load).max())
+        return max(1, math.ceil(peak / (cores_per_server * (1.0 + oc))))
+
+    def test_matches_the_per_record_loop(self, azure_trace):
+        rng = np.random.default_rng(31)
+        fractional = VMTraceSet([
+            flat_record(f"f{i}", 0.3, cores=float(rng.integers(1, 40)) + float(rng.random()),
+                        start=int(rng.integers(0, 30)), length=int(rng.integers(1, 12)))
+            for i in range(400)
+        ])
+        for traces in (azure_trace, fractional, VMTraceSet([])):
+            for oc in (0.0, 0.3, 0.6, 1.7):
+                assert servers_for_overcommitment(traces, oc) == self._loop_peak_servers(traces, oc)

@@ -1,13 +1,22 @@
 """Tests for the Azure-style trace synthesizer, including the calibration
 bands the feasibility figures depend on."""
 
+import bisect
+
 import numpy as np
 import pytest
 
 from repro.core.vm import VMClass
 from repro.errors import TraceError
 from repro.feasibility.analysis import deflation_sweep
-from repro.traces.azure import SIZE_MENU, AzureTraceConfig, synthesize_azure_trace
+from repro.traces.azure import (
+    SIZE_MENU,
+    SIZE_WEIGHTS,
+    AzureTraceConfig,
+    _choice_cdf,
+    _uniforms,
+    synthesize_azure_trace,
+)
 from repro.traces.schema import INTERVALS_PER_DAY
 
 
@@ -118,6 +127,18 @@ class TestValidation:
         with pytest.raises(TraceError):
             AzureTraceConfig(class_mix={VMClass.INTERACTIVE: 0.5})
 
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_class_mix_weights_must_be_finite_and_non_negative(self, bad):
+        # {I: 1.5, D: -0.5, U: 0.0} sums to 1 but is no distribution.
+        mix = {VMClass.INTERACTIVE: 1.0 - bad, VMClass.DELAY_INSENSITIVE: bad, VMClass.UNKNOWN: 0.0}
+        with pytest.raises(TraceError, match="finite and >= 0"):
+            AzureTraceConfig(class_mix=mix)
+
+    def test_zero_class_weight_is_never_drawn(self):
+        mix = {VMClass.INTERACTIVE: 0.7, VMClass.DELAY_INSENSITIVE: 0.0, VMClass.UNKNOWN: 0.3}
+        tr = synthesize_azure_trace(AzureTraceConfig(n_vms=300, seed=4, class_mix=mix))
+        assert {r.vm_class for r in tr} == {VMClass.INTERACTIVE, VMClass.UNKNOWN}
+
     def test_diurnal_arrivals_cluster(self):
         cfg = AzureTraceConfig(n_vms=2000, seed=5, diurnal_arrival_ratio=8.0,
                                horizon_intervals=2 * INTERVALS_PER_DAY)
@@ -127,3 +148,34 @@ class TestValidation:
         # hold clearly more than half the arrivals.
         peak_mask = np.sin(2 * np.pi * phases / INTERVALS_PER_DAY) > 0
         assert peak_mask.mean() > 0.6
+
+
+class TestDrawEquivalence:
+    """The synthesizer's scalar draws match the Generator calls they replace."""
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_choice_cdf_draws_like_generator_choice(self, trial):
+        if trial == 0:
+            weights = np.array(SIZE_WEIGHTS)
+        else:
+            spec = np.random.default_rng(trial)
+            n = int(spec.integers(1, 10))
+            weights = spec.random(n) * (spec.random(n) > 0.3)  # some zero weights
+            weights[0] += weights.sum() == 0
+        k = weights.size
+        p = weights / weights.sum()
+        cdf = _choice_cdf(weights)
+        ours, numpy_rng = np.random.default_rng(100 + trial), np.random.default_rng(100 + trial)
+        got = [bisect.bisect_right(cdf, ours.random()) for _ in range(3000)]
+        want = [int(numpy_rng.choice(k, p=p)) for _ in range(3000)]
+        assert got == want
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    def test_uniforms_match_scalar_uniform_calls(self):
+        bounds = [(0.04, 0.28), (0.18, 0.55), (0, INTERVALS_PER_DAY), (6, 4 * 12)]
+        ours, numpy_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2000):
+            got = _uniforms(ours, *bounds)
+            want = [numpy_rng.uniform(lo, hi) for lo, hi in bounds]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state

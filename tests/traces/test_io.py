@@ -151,6 +151,19 @@ class TestVMTraceIO:
             load_vm_traces(path)
 
 
+    def test_archive_with_nan_utilization_raises_trace_error(self, vm_traces, tmp_path):
+        path = tmp_path / "vms.npz"
+        save_vm_traces(vm_traces, path)
+        with np.load(path, allow_pickle=True) as data:
+            payload = {name: data[name] for name in data.files}
+        payload["util_3"] = payload["util_3"].copy()
+        payload["util_3"][0] = np.nan
+        nan_path = tmp_path / "nan.npz"
+        np.savez_compressed(nan_path, **payload)
+        with pytest.raises(TraceError, match="cpu_util must be finite"):
+            load_vm_traces(nan_path)
+
+
 class TestContainerTraceIO:
     def test_roundtrip_bit_identical(self, container_traces, tmp_path):
         path = tmp_path / "containers.npz"

@@ -55,9 +55,36 @@ class TestVMTraceRecord:
         with pytest.raises(TraceError):
             rec([0.1], start=-1)
 
+    @pytest.mark.parametrize("start", [2.5, 2.0, "3", None])
+    def test_non_integer_start_rejected(self, start):
+        with pytest.raises(TraceError, match="start_interval must be an integer"):
+            rec([0.1], start=start)
+
+    def test_numpy_integer_start_accepted(self):
+        assert rec([0.1, 0.2], start=np.int64(7)).end_interval == 9
+
     def test_clipping_tolerates_epsilon(self):
         r = rec([1.0 + 1e-12])
         assert r.cpu_util.max() <= 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_utilization_rejected(self, bad):
+        with pytest.raises(TraceError, match="must be finite"):
+            rec([0.1, bad, 0.3])
+
+    def test_out_of_range_message_unchanged(self):
+        with pytest.raises(TraceError, match=r"must lie in \[0, 1\]"):
+            rec([0.1, -0.5])
+
+    def test_series_is_an_owned_clipped_copy(self):
+        util = np.array([-0.0, 0.0, 0.5, 1.0, 1.0 + 1e-12, -1e-12])
+        r = rec(util)
+        assert r.cpu_util is not util
+        assert r.cpu_util.tobytes() == np.clip(util, 0.0, 1.0).tobytes()
+        in_range = np.array([-0.0, 0.25, 1.0])
+        r = rec(in_range)
+        in_range[1] = 0.75
+        assert r.cpu_util.tobytes() == np.array([-0.0, 0.25, 1.0]).tobytes()
 
 
 class TestVMTraceSet:
@@ -92,3 +119,10 @@ class TestContainerRecord:
                 disk_util=np.zeros(4),
                 net_util=np.zeros(5),
             )
+
+    @pytest.mark.parametrize("series", ["mem_util", "mem_bw_util", "disk_util", "net_util"])
+    def test_non_finite_series_rejected(self, series):
+        kwargs = {name: np.zeros(5) for name in ("mem_util", "mem_bw_util", "disk_util", "net_util")}
+        kwargs[series][2] = np.nan
+        with pytest.raises(TraceError, match=f"{series} must be finite"):
+            ContainerTraceRecord(container_id="c", **kwargs)
